@@ -251,9 +251,11 @@ func ParseSWFFunc(r io.Reader, fn func(SWFJob) error) error {
 // RunSchedStream replays a submission stream under a SchedPolicy in
 // bounded memory: job records are folded into aggregate statistics as
 // they complete (no per-job records, no percentiles). For a stream in
-// submit order the scheduling decisions are identical to
-// materializing it and calling RunSched; an out-of-order record is
-// submitted at the stream position instead of being sorted into place.
+// submit order the scheduling decisions and event count are
+// identical to materializing it and calling RunSched; an out-of-order
+// record is submitted at the stream position instead of being sorted
+// into place. A streamed replay cannot fork: snapshots and what-ifs
+// need a materialized Scenario.
 func RunSchedStream(base Scenario, src SubmissionSource, p SchedPolicy) Result {
 	return workload.RunSchedStream(base, src, p)
 }

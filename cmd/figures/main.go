@@ -35,7 +35,7 @@ func main() {
 	}
 	outDir = *out
 	svgDir = *svg
-	if err := run(*id); err != nil {
+	if err := run(os.Stdout, *id); err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(1)
 	}
@@ -45,7 +45,7 @@ func main() {
 var outDir, svgDir string
 
 // writeSVG stores one rendered figure.
-func writeSVG(name, svg string) error {
+func writeSVG(w io.Writer, name, svg string) error {
 	if svgDir == "" {
 		return nil
 	}
@@ -56,18 +56,18 @@ func writeSVG(name, svg string) error {
 	if err := os.WriteFile(p, []byte(svg), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("(svg written: %s)\n\n", p)
+	fmt.Fprintf(w, "(svg written: %s)\n\n", p)
 	return nil
 }
 
 // printFig prints a bar figure and optionally renders it.
-func printFig(name string, f workload.FigureData) error {
-	fmt.Println(f)
-	return writeSVG(name, f.Chart().SVG())
+func printFig(w io.Writer, name string, f workload.FigureData) error {
+	fmt.Fprintln(w, f)
+	return writeSVG(w, name, f.Chart().SVG())
 }
 
 // exportTraces writes the CSV and Paraver forms of a traced result.
-func exportTraces(name string, res workload.Result) error {
+func exportTraces(w io.Writer, name string, res workload.Result) error {
 	if outDir == "" || res.Tracer == nil {
 		return nil
 	}
@@ -108,24 +108,24 @@ func exportTraces(name string, res workload.Result) error {
 	if _, err := write(".row", res.Tracer.WriteROW); err != nil {
 		return err
 	}
-	fmt.Printf("(traces written: %s, %s + .pcf/.row)\n\n", csvPath, prvPath)
+	fmt.Fprintf(w, "(traces written: %s, %s + .pcf/.row)\n\n", csvPath, prvPath)
 	return nil
 }
 
-func run(id string) error {
+func run(w io.Writer, id string) error {
 	all := id == ""
 	want := func(k string) bool { return all || id == k }
 
 	if want("table1") {
-		fmt.Println(workload.Table1Data())
+		fmt.Fprintln(w, workload.Table1Data())
 	}
 	if want("fig2") {
-		if err := figure2(); err != nil {
+		if err := figure2(w); err != nil {
 			return err
 		}
 	}
 	if want("fig3") {
-		if err := figure3(); err != nil {
+		if err := figure3(w); err != nil {
 			return err
 		}
 	}
@@ -134,7 +134,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig4", f); err != nil {
+		if err := printFig(w, "fig4", f); err != nil {
 			return err
 		}
 	}
@@ -143,12 +143,12 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(f)
-		fmt.Println(res.Tracer.RenderTimeline("nest", 72, "util"))
-		if err := exportTraces("fig5", res); err != nil {
+		fmt.Fprintln(w, f)
+		fmt.Fprintln(w, res.Tracer.RenderTimeline("nest", 72, "util"))
+		if err := exportTraces(w, "fig5", res); err != nil {
 			return err
 		}
-		if err := writeSVG("fig5-timeline",
+		if err := writeSVG(w, "fig5-timeline",
 			workload.TimelineGantt(res.Tracer, "Figure 5: NEST thread utilization (DROM)", 240).SVG()); err != nil {
 			return err
 		}
@@ -158,7 +158,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig6", f); err != nil {
+		if err := printFig(w, "fig6", f); err != nil {
 			return err
 		}
 	}
@@ -167,10 +167,10 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig7-runtime", rt); err != nil {
+		if err := printFig(w, "fig7-runtime", rt); err != nil {
 			return err
 		}
-		if err := printFig("fig7-response", resp); err != nil {
+		if err := printFig(w, "fig7-response", resp); err != nil {
 			return err
 		}
 	}
@@ -179,7 +179,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig8", f); err != nil {
+		if err := printFig(w, "fig8", f); err != nil {
 			return err
 		}
 	}
@@ -188,7 +188,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig9", f); err != nil {
+		if err := printFig(w, "fig9", f); err != nil {
 			return err
 		}
 	}
@@ -197,7 +197,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig10", f); err != nil {
+		if err := printFig(w, "fig10", f); err != nil {
 			return err
 		}
 	}
@@ -206,10 +206,10 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig11-runtime", rt); err != nil {
+		if err := printFig(w, "fig11-runtime", rt); err != nil {
 			return err
 		}
-		if err := printFig("fig11-response", resp); err != nil {
+		if err := printFig(w, "fig11-response", resp); err != nil {
 			return err
 		}
 	}
@@ -218,7 +218,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig12", f); err != nil {
+		if err := printFig(w, "fig12", f); err != nil {
 			return err
 		}
 	}
@@ -228,28 +228,28 @@ func run(id string) error {
 			return err
 		}
 		if want("fig13") {
-			fmt.Println(fig13)
-			fmt.Println("Serial scenario (cycles/µs):")
-			fmt.Println(serial.Tracer.RenderTimeline("", 72, "cycles"))
-			fmt.Println("DROM scenario (cycles/µs):")
-			fmt.Println(drom.Tracer.RenderTimeline("", 72, "cycles"))
-			if err := exportTraces("fig13-serial", serial); err != nil {
+			fmt.Fprintln(w, fig13)
+			fmt.Fprintln(w, "Serial scenario (cycles/µs):")
+			fmt.Fprintln(w, serial.Tracer.RenderTimeline("", 72, "cycles"))
+			fmt.Fprintln(w, "DROM scenario (cycles/µs):")
+			fmt.Fprintln(w, drom.Tracer.RenderTimeline("", 72, "cycles"))
+			if err := exportTraces(w, "fig13-serial", serial); err != nil {
 				return err
 			}
-			if err := exportTraces("fig13-drom", drom); err != nil {
+			if err := exportTraces(w, "fig13-drom", drom); err != nil {
 				return err
 			}
-			if err := writeSVG("fig13-serial-timeline",
+			if err := writeSVG(w, "fig13-serial-timeline",
 				workload.TimelineGantt(serial.Tracer, "Figure 13: UC2 Serial", 240).SVG()); err != nil {
 				return err
 			}
-			if err := writeSVG("fig13-drom-timeline",
+			if err := writeSVG(w, "fig13-drom-timeline",
 				workload.TimelineGantt(drom.Tracer, "Figure 13: UC2 DROM", 240).SVG()); err != nil {
 				return err
 			}
 		}
 		if want("fig14") {
-			fmt.Println(workload.Figure14(serial, drom))
+			fmt.Fprintln(w, workload.Figure14(serial, drom))
 		}
 	}
 	if want("fig15") {
@@ -257,7 +257,7 @@ func run(id string) error {
 		if err != nil {
 			return err
 		}
-		if err := printFig("fig15", f); err != nil {
+		if err := printFig(w, "fig15", f); err != nil {
 			return err
 		}
 	}
@@ -265,8 +265,8 @@ func run(id string) error {
 }
 
 // figure2 narrates the SLURM launch protocol on a live mini-run.
-func figure2() error {
-	fmt.Println("== Figure 2: SLURM job launch procedure for DROM malleable applications ==")
+func figure2(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 2: SLURM job launch procedure for DROM malleable applications ==")
 	s := workload.Scenario{
 		Name:        "fig2",
 		Nodes:       2,
@@ -282,38 +282,38 @@ func figure2() error {
 	if res.Err != nil {
 		return res.Err
 	}
-	fmt.Println("protocol events recorded by the DROM-enabled slurmd/slurmstepd:")
+	fmt.Fprintln(w, "protocol events recorded by the DROM-enabled slurmd/slurmstepd:")
 	for _, e := range res.Protocol {
-		fmt.Println("  " + e.String())
+		fmt.Fprintln(w, "  "+e.String())
 	}
-	fmt.Println("(job1 applies staged shrinks at its next DLB_PollDROM safe point,")
-	fmt.Println(" and re-expands after job2's post_term/release_resources)")
+	fmt.Fprintln(w, "(job1 applies staged shrinks at its next DLB_PollDROM safe point,")
+	fmt.Fprintln(w, " and re-expands after job2's post_term/release_resources)")
 	for _, j := range res.Records.Jobs {
-		fmt.Printf("  %-6s submit=%6.1f start=%6.1f end=%7.1f response=%7.1f\n",
+		fmt.Fprintf(w, "  %-6s submit=%6.1f start=%6.1f end=%7.1f response=%7.1f\n",
 			j.Name, j.Submit, j.Start, j.End, j.ResponseTime())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
 // figure3 renders the UC1 schematic: per-job running-thread counts
 // over time under both policies.
-func figure3() error {
-	fmt.Println("== Figure 3: In-situ analytics schematic (resource shares over time) ==")
+func figure3(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 3: In-situ analytics schematic (resource shares over time) ==")
 	sc := workload.UC1("nest", apps.Config{Ranks: 2, Threads: 16}, "pils", apps.Config{Ranks: 2, Threads: 4}, true)
 	for _, pol := range []slurm.Policy{slurm.PolicySerial, slurm.PolicyDROM} {
 		res := workload.Run(sc, pol)
 		if res.Err != nil {
 			return res.Err
 		}
-		fmt.Printf("--- %s scenario ---\n", pol)
+		fmt.Fprintf(w, "--- %s scenario ---\n", pol)
 		var s metrics.Series
 		s.Label = "end (s)"
 		for _, j := range res.Records.Jobs {
 			s.Add(j.Name, j.End)
 		}
-		fmt.Print(metrics.Table(s))
+		fmt.Fprint(w, metrics.Table(s))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,24 +43,38 @@ func main() {
 		fmt.Println(version.String())
 		return
 	}
-	claims, err := evaluate()
+	ok, err := run(os.Stdout, *mdPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "report: %v\n", err)
 		os.Exit(1)
 	}
+	if !ok {
+		os.Exit(2)
+	}
+}
+
+// run evaluates every claim, writes the report to w and, when mdPath
+// is set, to that file. ok is false when any claim's direction fails.
+func run(w io.Writer, mdPath string) (ok bool, err error) {
+	claims, err := evaluate()
+	if err != nil {
+		return false, err
+	}
 	out := render(claims)
-	fmt.Print(out)
-	if *mdPath != "" {
-		if err := os.WriteFile(*mdPath, []byte(out), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "report: %v\n", err)
-			os.Exit(1)
+	if _, err := io.WriteString(w, out); err != nil {
+		return false, err
+	}
+	if mdPath != "" {
+		if err := os.WriteFile(mdPath, []byte(out), 0o644); err != nil {
+			return false, err
 		}
 	}
 	for _, c := range claims {
 		if !c.Pass {
-			os.Exit(2)
+			return false, nil
 		}
 	}
+	return true, nil
 }
 
 func pct(v float64) float64 { return 100 * v }

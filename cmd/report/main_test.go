@@ -1,9 +1,34 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestReportGolden pins the full output of `report` byte for byte: the
+// measured value and verdict of every paper claim. Regenerate (only
+// after an intentional model change) with:
+//
+//	go run ./cmd/report > cmd/report/testdata/report.golden
+func TestReportGolden(t *testing.T) {
+	var got bytes.Buffer
+	ok, err := run(&got, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Error("a claim's direction failed")
+	}
+	want, err := os.ReadFile("testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("report diverged from the golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+	}
+}
 
 func TestEvaluateAllClaimsPass(t *testing.T) {
 	claims, err := evaluate()

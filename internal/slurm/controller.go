@@ -243,18 +243,16 @@ type Controller struct {
 
 	// Fork-support state (fork.go). pend describes every controller-
 	// owned pending engine event (launch completion, fault-script
-	// timer, repair, seeded failure, requeue arrival) so Fork can
+	// window, repair, seeded failure, requeue arrival) so Fork can
 	// re-bind each event ID to a closure over the forked state;
 	// entries are dropped as the events fire, bounding the map by the
 	// in-flight event count. cycleEv is the single coalesced-cycle
 	// event, meaningful only while cyclePending (at most one runCycle
-	// event is ever outstanding, so it needs no map entry). nfWins
-	// retains the parsed fault script and nfDraws counts fault-RNG
-	// draws so a fork can rebuild the window schedule and fast-forward
-	// a fresh RNG to the identical stream position.
+	// event is ever outstanding, so it needs no map entry). nfDraws
+	// counts fault-RNG draws so a fork can fast-forward a fresh RNG to
+	// the identical stream position.
 	pend    map[sim.EventID]pendEv
 	cycleEv sim.EventID
-	nfWins  []faultWindow
 	nfDraws int64
 
 	// Cycles counts executed scheduling-policy passes (perf metric).

@@ -14,7 +14,7 @@ package slurm
 //     fresh sched.Policy per partition (ClonePolicy);
 //   - shared immutable: Job values (copy-on-write on mutation — see
 //     SetQueuedMalleable), cluster spec, node name/machine/partition
-//     tables, nodeIdx, the parsed fault script (nfWins);
+//     tables, nodeIdx;
 //   - dropped: Probe, protocol log, Tracer, Jitter — observers must
 //     never steer decisions, so a blind fork decides identically.
 //
@@ -43,9 +43,6 @@ const (
 	evStart pendKind = iota + 1
 	// evInterrupt is a FailAfter interrupt (interruptRunning).
 	evInterrupt
-	// evFaultScript is the t=0 deferral that schedules the fault
-	// script's window events.
-	evFaultScript
 	// evWinDown / evWinDrain are scripted outage windows opening.
 	evWinDown
 	evWinDrain
@@ -207,10 +204,9 @@ func (ctl *Controller) Fork() (*Controller, *sim.Engine, error) {
 		ctl2.running[i] = cr
 		ctl2.rBySeq[cr.seq] = cr
 	}
-	// Fault-injection state: arrays by value, the parsed script shared,
-	// the RNG reconstructed at the identical stream position.
+	// Fault-injection state: arrays by value, the RNG reconstructed at
+	// the identical stream position.
 	ctl2.nfPlan = ctl.nfPlan
-	ctl2.nfWins = ctl.nfWins
 	ctl2.nfLimbo = ctl.nfLimbo
 	if ctl.nfState != nil {
 		ctl2.nfState = append([]hwmodel.NodeState(nil), ctl.nfState...)
@@ -273,8 +269,6 @@ func (ctl *Controller) pendBody(pe pendEv) (func(), error) {
 	case evInterrupt:
 		seq := pe.seq
 		return func() { ctl.interruptRunning(seq) }, nil
-	case evFaultScript:
-		return ctl.scheduleFaultWindows, nil
 	case evWinDown:
 		i, until := pe.node, pe.until
 		return func() { ctl.nodeDown(i, until) }, nil

@@ -174,28 +174,7 @@ func (ctl *Controller) InstallFaults(fp FaultPlan) error {
 		ctl.nfRand = rand.New(rand.NewSource(fp.Seed))
 		ctl.nfArmed = make([]bool, n)
 	}
-	ctl.nfWins = wins
-	if len(wins) > 0 {
-		// Schedule the windows from a t=0 event rather than here: the
-		// materialized replay pre-allocates its submission event IDs
-		// after installation, and a window event with an install-time ID
-		// would fire BEFORE a same-instant submission there while the
-		// streaming replay (AtFront submissions) fires it after. Deferred
-		// IDs are allocated during the run, past every pre-allocated
-		// submission, so both paths agree: submissions first on a tie.
-		ctl.trackAt(0, pendEv{kind: evFaultScript}, ctl.scheduleFaultWindows)
-	}
-	return nil
-}
-
-// scheduleFaultWindows arms the parsed script's down/drain window
-// events; runs from the t=0 deferral event of InstallFaults, or from
-// its re-bound equivalent when a fork happens before the deferral
-// fires.
-//
-//simvet:coldpath once per run, gated on a fault script
-func (ctl *Controller) scheduleFaultWindows() {
-	for _, w := range ctl.nfWins {
+	for _, w := range wins {
 		w := w
 		if w.drain {
 			ctl.trackAt(w.from, pendEv{kind: evWinDrain, node: w.node, until: w.to},
@@ -205,6 +184,7 @@ func (ctl *Controller) scheduleFaultWindows() {
 				func() { ctl.nodeDown(w.node, w.to) })
 		}
 	}
+	return nil
 }
 
 // FaultsEnabled reports whether a fault plan is installed.

@@ -257,7 +257,7 @@ func TestHeteroPartitionRouting(t *testing.T) {
 
 // TestStreamMatchesMaterializedWithFaults: the streaming replay of a
 // heterogeneous fault-annotated trace reaches the same aggregate
-// outcomes as materializing it.
+// outcomes, cycles and event count as materializing it.
 func TestStreamMatchesMaterializedWithFaults(t *testing.T) {
 	gen := SyntheticSWF{
 		Seed: 4, Jobs: 250, MeanInterarrival: 25,
@@ -287,8 +287,9 @@ func TestStreamMatchesMaterializedWithFaults(t *testing.T) {
 		if ms.Makespan != ss.Makespan || ms.MeanWait != ss.MeanWait || ms.MeanResponse != ss.MeanResponse {
 			t.Fatalf("%s: aggregates diverge:\n  materialized %v\n  streamed     %v", name, ms, ss)
 		}
-		if mat.SchedCycles != str.SchedCycles {
-			t.Fatalf("%s: cycles diverge: %d vs %d", name, mat.SchedCycles, str.SchedCycles)
+		if mat.SchedCycles != str.SchedCycles || mat.Events != str.Events {
+			t.Fatalf("%s: cycles/events diverge: materialized %d/%d, streamed %d/%d",
+				name, mat.SchedCycles, mat.Events, str.SchedCycles, str.Events)
 		}
 	}
 }

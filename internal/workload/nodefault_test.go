@@ -108,7 +108,7 @@ func TestSchedReplayNodeFaultGolden(t *testing.T) {
 
 // TestNodeFaultStreamMatchesMaterialized: the streaming path installs
 // the same fault plan as the materialized path and must reach the same
-// outcomes, requeue tallies and aggregates.
+// outcomes, requeue tallies, aggregates, cycles and event count.
 func TestNodeFaultStreamMatchesMaterialized(t *testing.T) {
 	gen := SyntheticSWF{
 		Seed: 2, Jobs: 300, MeanInterarrival: 20,
@@ -138,6 +138,10 @@ func TestNodeFaultStreamMatchesMaterialized(t *testing.T) {
 		}
 		if mat.Records.Requeues() == 0 {
 			t.Fatalf("%s: no requeues on the faulted trace; the parity check is vacuous", name)
+		}
+		if mat.SchedCycles != str.SchedCycles || mat.Events != str.Events {
+			t.Errorf("%s: cycles/events diverge: materialized %d/%d, streamed %d/%d",
+				name, mat.SchedCycles, mat.Events, str.SchedCycles, str.Events)
 		}
 		if m, s := mat.Records.Requeues(), str.Records.Requeues(); m != s {
 			t.Errorf("%s: requeues diverge: materialized %d, streamed %d", name, m, s)

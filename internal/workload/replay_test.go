@@ -278,6 +278,9 @@ func TestSpillStreamMatchesMaterialized(t *testing.T) {
 	if m, s := mat.SchedCycles, str.SchedCycles; m != s {
 		t.Errorf("cycles: materialized %d, streamed %d", m, s)
 	}
+	if m, s := mat.Events, str.Events; m != s {
+		t.Errorf("events: materialized %d, streamed %d", m, s)
+	}
 	ms := SchedStatsOf(sc, mat)
 	ss := SchedStatsOfStream(str)
 	if ms.Makespan != ss.Makespan || ms.MeanWait != ss.MeanWait || ms.MeanResponse != ss.MeanResponse {

@@ -9,14 +9,25 @@ import (
 )
 
 // TestStreamReplayMatchesMaterialized: the streaming replay (lazy
-// generation, front-band submissions, aggregate-only records) must
-// reproduce exactly the scheduling outcome of materializing the trace
-// and replaying it through RunSched, for every policy.
+// generation or an SWF file parsed on the reader source's helper
+// goroutine, aggregate-only records) must reproduce exactly the
+// scheduling outcome and event count of materializing the trace and
+// replaying it through RunSched, for every policy.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	params := SyntheticSWF{Seed: 1, Jobs: 1000, Nodes: 4}
 	sc, err := SyntheticSWFScenario(params)
 	if err != nil {
 		t.Fatal(err)
+	}
+	text := FormatSWF(params.Generate())
+	sources := []struct {
+		name string
+		open func() SubmissionSource
+	}{
+		{"synthetic", func() SubmissionSource { return params.Source() }},
+		{"swf-reader", func() SubmissionSource {
+			return NewSWFReaderSource(strings.NewReader(text), SWFOptions{Nodes: params.Nodes})
+		}},
 	}
 	for _, name := range sched.Names() {
 		p1, err := sched.New(name)
@@ -28,31 +39,26 @@ func TestStreamReplayMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s materialized: %v", name, res.Err)
 		}
 		st := SchedStatsOf(sc, res)
-
-		p2, _ := sched.New(name)
-		sres := RunSchedStream(Scenario{Nodes: params.Nodes}, params.Source(), p2)
-		if sres.Err != nil {
-			t.Fatalf("%s streamed: %v", name, sres.Err)
-		}
-		sst := SchedStatsOfStream(sres)
-
-		if sst.Jobs != st.Jobs {
-			t.Errorf("%s: streamed %d jobs, materialized %d", name, sst.Jobs, st.Jobs)
-		}
-		if sres.SchedCycles != res.SchedCycles {
-			t.Errorf("%s: streamed %d cycles, materialized %d", name, sres.SchedCycles, res.SchedCycles)
-		}
-		if sst.Makespan != st.Makespan {
-			t.Errorf("%s: streamed makespan %v, materialized %v", name, sst.Makespan, st.Makespan)
-		}
-		if sst.MeanWait != st.MeanWait {
-			t.Errorf("%s: streamed mean wait %v, materialized %v", name, sst.MeanWait, st.MeanWait)
-		}
-		if sst.MeanResponse != st.MeanResponse {
-			t.Errorf("%s: streamed mean response %v, materialized %v", name, sst.MeanResponse, st.MeanResponse)
-		}
-		if sst.MeanSlowdown != st.MeanSlowdown {
-			t.Errorf("%s: streamed mean slowdown %v, materialized %v", name, sst.MeanSlowdown, st.MeanSlowdown)
+		for _, src := range sources {
+			p2, _ := sched.New(name)
+			sres := RunSchedStream(Scenario{Nodes: params.Nodes}, src.open(), p2)
+			if sres.Err != nil {
+				t.Fatalf("%s %s: %v", name, src.name, sres.Err)
+			}
+			sst := SchedStatsOfStream(sres)
+			if sst.Jobs != st.Jobs {
+				t.Errorf("%s %s: streamed %d jobs, materialized %d", name, src.name, sst.Jobs, st.Jobs)
+			}
+			if sres.SchedCycles != res.SchedCycles {
+				t.Errorf("%s %s: streamed %d cycles, materialized %d", name, src.name, sres.SchedCycles, res.SchedCycles)
+			}
+			if sres.Events != res.Events {
+				t.Errorf("%s %s: streamed %d events, materialized %d", name, src.name, sres.Events, res.Events)
+			}
+			if sst.Makespan != st.Makespan || sst.MeanWait != st.MeanWait ||
+				sst.MeanResponse != st.MeanResponse || sst.MeanSlowdown != st.MeanSlowdown {
+				t.Errorf("%s %s: stats diverge:\n  streamed     %+v\n  materialized %+v", name, src.name, sst, st)
+			}
 		}
 	}
 }
@@ -102,13 +108,14 @@ func TestSWFReaderSourceMatchesScenario(t *testing.T) {
 	}
 }
 
-// sliceSource serves a fixed submission list (test helper).
-type sliceSource struct {
+// listSource serves a fixed submission list in the given order (test
+// helper; unlike the materialized slice source it is a stream).
+type listSource struct {
 	subs []Submission
 	i    int
 }
 
-func (s *sliceSource) Next() (Submission, bool, error) {
+func (s *listSource) Next() (Submission, bool, error) {
 	if s.i >= len(s.subs) {
 		return Submission{}, false, nil
 	}
@@ -129,7 +136,7 @@ func TestStreamToleratesOutOfOrderRecords(t *testing.T) {
 		}
 		return sub
 	}
-	src := &sliceSource{subs: []Submission{
+	src := &listSource{subs: []Submission{
 		{At: 100, Job: job("j00001")},
 		{At: 50, Job: job("j00002")}, // out of order
 		{At: 200, Job: job("j00003")},
