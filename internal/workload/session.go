@@ -225,13 +225,11 @@ func newSession(s Scenario, src SubmissionSource, policy slurm.Policy, install f
 			sess.arm(sub)
 			break
 		}
-		if err := sess.submit(&sub); err != nil {
-			sess.err = err
+		if !sess.submit(&sub) {
 			break
 		}
 	}
 	if sess.err != nil {
-		sess.closeSource()
 		return nil, sess.err
 	}
 	return sess, nil
@@ -274,12 +272,10 @@ func (s *Session) arm(sub Submission) {
 }
 
 // fireSub runs the pending submission event: deliver it, then pull
-// and arm the next. The first failed submission stops the stream.
+// and arm the next.
 func (s *Session) fireSub() {
 	s.pending = false
-	if err := s.submit(&s.next); err != nil {
-		s.err = err
-		s.closeSource()
+	if !s.submit(&s.next) {
 		return
 	}
 	if sub, ok := s.pull(); ok {
@@ -287,16 +283,20 @@ func (s *Session) fireSub() {
 	}
 }
 
-// submit delivers one submission and arms its scancel timer.
-func (s *Session) submit(sub *Submission) error {
+// submit delivers one submission and arms its scancel timer. A failed
+// submission is recorded and stops the stream: the source is closed
+// and never pulled again.
+func (s *Session) submit(sub *Submission) bool {
 	job := sub.Job // the controller keeps the pointer; copy per submission
 	if err := s.ctl.Submit(&job); err != nil {
-		return err
+		s.err = err
+		s.closeSource()
+		return false
 	}
 	if sub.Cancel {
 		s.armCancel(sub.CancelAt, sub.Job.Name)
 	}
-	return nil
+	return true
 }
 
 // armCancel schedules an scancel, clamped to now so a cancellation
